@@ -50,6 +50,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"nrl/internal/trace"
 )
 
 // Kind discriminates flight-recorder records.
@@ -215,8 +217,8 @@ type Options struct {
 // store's commit fences.
 type Recorder struct {
 	slots    []slot
-	nslots   uint64 // always a power of two
-	slotMask uint64 // nslots - 1
+	nslots   uint64        // always a power of two
+	slotMask uint64        // nslots - 1
 	seq      atomic.Uint64 // records issued; record seq s occupies slot (s-1)&slotMask
 	deep     bool
 
@@ -225,6 +227,13 @@ type Recorder struct {
 	// no lock. Misses copy-on-write under nameMu.
 	names  atomic.Pointer[nameTables]
 	nameMu sync.Mutex
+
+	// procRefs caches attribution for the proc-fed record path (Emit,
+	// Checkpoint), one block per process id, allocated on the process's
+	// first event. A block is touched only by events of its own process,
+	// which proc emits from that process's goroutine. Ids past the
+	// record's 8-bit process field go uncached.
+	procRefs [256]*procRefs
 
 	syncMu     sync.Mutex
 	synced     uint64 // highest seq flushed to media
@@ -242,6 +251,18 @@ type nameTables struct {
 	obj map[string]uint16
 	op  map[string]uint16
 }
+
+// procRefs caches one process's attribution per nesting depth. Interned
+// ids are stable, and a process typically repeats the same operations,
+// so a hit skips the interning tables; the string compares take the
+// pointer-equality fast path when the names come from one OpInfo.
+type procRefs [refDepths]struct {
+	obj, op string
+	ref     uint32
+}
+
+// refDepths is the nesting depth procRefs covers: proc's MaxNestingDepth.
+const refDepths = 16
 
 // slot is one ring entry: 32 bytes as four atomically stored words.
 // A record write is not atomic across the four stores; readers rely on
@@ -293,38 +314,68 @@ func (r *Recorder) Dropped() uint64 {
 // encoding; crash and recovery records are always written. The path is
 // lock-free and allocation-free once the record's names are interned.
 func (r *Recorder) Record(rec Rec) {
-	if !r.deep {
-		switch rec.Kind {
-		case KindCheckpoint:
-			return
-		case KindBegin, KindEnd:
-			if rec.Depth > 1 {
-				return
-			}
-		}
+	if r.drops(rec.Kind, rec.Depth) {
+		return
 	}
-	var ref Ref
+	var ref uint32
 	if rec.Kind.Lifecycle() {
-		ref = r.Ref(rec.Obj, rec.Op)
+		ref = r.ref(rec.Obj, rec.Op)
 	}
-	w0 := uint64(rec.Kind) | uint64(sat8(rec.P))<<8 | uint64(sat8(rec.Depth))<<16
-	w1 := uint64(uint32(ref)) |
-		uint64(sat16(rec.LI))<<32 | uint64(sat16(rec.Attempt))<<48
-	r.putWords(w0, w1, rec.Val, uint64(uint32(rec.GStep)))
+	r.putRec(rec.Kind, rec.P, rec.Depth, ref, rec.LI, rec.Attempt, rec.Val, rec.GStep)
 }
 
-// Ref is a pre-resolved operation attribution: the record's interned
-// object and operation name ids packed into one word. Hot paths that
-// issue many records for the same operation resolve the Ref once (two
-// interning-table lookups) and then use RecordOp, which touches no maps
-// and no strings. Refs are stable for the life of the Recorder —
-// interning never reassigns a name — so caching one across records, and
-// across crashes of the recorded process, is safe.
-type Ref uint32
+// Emit implements trace.Tracer, mapping proc's op-lifecycle edges onto
+// records: Invoke is begin (val = first argument), Response end,
+// RecoverDone recover-exit (val = response), Crash crash, Recover
+// recover-enter; other kinds are ignored. Shallow mode drops nested
+// begin/end before resolving any name.
+func (r *Recorder) Emit(e trace.Event) {
+	var kind Kind
+	var val uint64
+	switch e.Kind {
+	case trace.Invoke:
+		kind = KindBegin
+		if len(e.Args) > 0 {
+			val = e.Args[0]
+		}
+	case trace.Response:
+		kind, val = KindEnd, e.Ret
+	case trace.Crash:
+		kind = KindCrash
+	case trace.Recover:
+		kind = KindRecoverEnter
+	case trace.RecoverDone:
+		kind, val = KindRecoverExit, e.Ret
+	default:
+		return
+	}
+	if r.drops(kind, e.Depth) {
+		return
+	}
+	r.putRec(kind, e.P, e.Depth, r.procRef(e.P, e.Depth, e.Obj, e.Op), e.Line, e.Attempt, val, e.GStep)
+}
 
-// Ref interns obj and op (empty names map to id 0) and returns their
-// packed ids for RecordOp.
-func (r *Recorder) Ref(obj, op string) Ref {
+// Checkpoint records that process p's frame at depth advanced its LI_p
+// to li: proc's per-step hook in deep mode (shallow mode drops it).
+func (r *Recorder) Checkpoint(p, depth int, obj, op string, li, attempt int, gstep uint64) {
+	if r.drops(KindCheckpoint, depth) {
+		return
+	}
+	r.putRec(KindCheckpoint, p, depth, r.procRef(p, depth, obj, op), li, attempt, 0, gstep)
+}
+
+// drops reports whether shallow mode discards a record of kind at
+// depth: every checkpoint, and begin/end below the top level.
+func (r *Recorder) drops(kind Kind, depth int) bool {
+	if r.deep {
+		return false
+	}
+	return kind == KindCheckpoint || (depth > 1 && (kind == KindBegin || kind == KindEnd))
+}
+
+// ref interns obj and op (empty names map to id 0) and packs their ids
+// into one word, which stays valid for the life of the Recorder.
+func (r *Recorder) ref(obj, op string) uint32 {
 	t := r.names.Load()
 	objID, ok := t.obj[obj]
 	if !ok && obj != "" {
@@ -334,27 +385,29 @@ func (r *Recorder) Ref(obj, op string) Ref {
 	if !ok && op != "" {
 		opID = r.intern(op, true)
 	}
-	return Ref(uint32(objID) | uint32(opID)<<16)
+	return uint32(objID) | uint32(opID)<<16
 }
 
-// RecordOp is the zero-lookup record path: Record for a lifecycle kind
-// whose attribution was pre-resolved with Ref. It applies the same
-// shallow-mode drops and writes an identical record; gstep is truncated
-// to the record's 32-bit field as usual.
-func (r *Recorder) RecordOp(kind Kind, p, depth int, ref Ref, li, attempt int, val, gstep uint64) {
-	if !r.deep {
-		switch kind {
-		case KindCheckpoint:
-			return
-		case KindBegin, KindEnd:
-			if depth > 1 {
-				return
-			}
-		}
+// procRef is ref through process p's cache entry for depth.
+func (r *Recorder) procRef(p, depth int, obj, op string) uint32 {
+	if p <= 0 || p >= len(r.procRefs) || depth <= 0 || depth > refDepths {
+		return r.ref(obj, op)
 	}
+	if r.procRefs[p] == nil {
+		r.procRefs[p] = new(procRefs)
+	}
+	c := &r.procRefs[p][depth-1]
+	if c.obj != obj || c.op != op {
+		c.ref, c.obj, c.op = r.ref(obj, op), obj, op
+	}
+	return c.ref
+}
+
+// putRec encodes and stores one record from its fields; ref is the
+// packed name ids (zero for unattributed kinds).
+func (r *Recorder) putRec(kind Kind, p, depth int, ref uint32, li, attempt int, val, gstep uint64) {
 	w0 := uint64(kind) | uint64(sat8(p))<<8 | uint64(sat8(depth))<<16
-	w1 := uint64(uint32(ref)) |
-		uint64(sat16(li))<<32 | uint64(sat16(attempt))<<48
+	w1 := uint64(ref) | uint64(sat16(li))<<32 | uint64(sat16(attempt))<<48
 	r.putWords(w0, w1, val, uint64(uint32(gstep)))
 }
 

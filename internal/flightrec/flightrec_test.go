@@ -2,8 +2,11 @@ package flightrec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"nrl/internal/trace"
 )
 
 // memRegion is a persist.BlackBox pwrite target backed by a byte slice.
@@ -292,6 +295,96 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { r.RecordCommit(9, 3) }); n != 0 {
 		t.Fatalf("RecordCommit allocates %v times per op, want 0", n)
+	}
+}
+
+// TestEmitLifecycle: the trace.Tracer adapter maps each op-lifecycle
+// edge onto its record kind, drops shallow-mode nested begin/end before
+// interning their names, and ignores non-lifecycle events.
+func TestEmitLifecycle(t *testing.T) {
+	r := NewRecorder(Options{Slots: 64})
+	for _, e := range []trace.Event{
+		{Kind: trace.Invoke, P: 2, Depth: 1, Obj: "ctr", Op: "Inc", Args: []uint64{7}, GStep: 3},
+		{Kind: trace.Invoke, P: 2, Depth: 2, Obj: "ctr.R", Op: "Write", Args: []uint64{1}},
+		{Kind: trace.MemWrite, P: 2, Depth: 2, Obj: "ctr", Op: "Inc", Ret: 1},
+		{Kind: trace.Crash, P: 2, Depth: 2, Obj: "ctr", Op: "Inc", Line: 4},
+		{Kind: trace.Recover, P: 2, Depth: 1, Obj: "ctr", Op: "Inc", Line: 4, Attempt: 1},
+		{Kind: trace.Response, P: 2, Depth: 2, Obj: "ctr.R", Op: "Write", Ret: 5},
+		{Kind: trace.RecoverDone, P: 2, Depth: 1, Obj: "ctr", Op: "Inc", Attempt: 1, Ret: 8},
+	} {
+		r.Emit(e)
+	}
+	var got []string
+	for _, rec := range r.Snapshot() {
+		got = append(got, fmt.Sprintf("%v p%d d%d %s.%s li=%d att=%d val=%d g=%d",
+			rec.Kind, rec.P, rec.Depth, rec.Obj, rec.Op, rec.LI, rec.Attempt, rec.Val, rec.GStep))
+	}
+	want := []string{
+		"name-obj p0 d0 ctr. li=0 att=0 val=1 g=0",
+		"name-op p0 d0 .Inc li=0 att=0 val=1 g=0",
+		"begin p2 d1 ctr.Inc li=0 att=0 val=7 g=3",
+		"crash p2 d2 ctr.Inc li=4 att=0 val=0 g=0",
+		"recover-enter p2 d1 ctr.Inc li=4 att=1 val=0 g=0",
+		"recover-exit p2 d1 ctr.Inc li=0 att=1 val=8 g=0",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestEmitPathZeroAlloc: once a process's attribution is cached, the
+// proc-fed record paths (Emit, Checkpoint) must not allocate, including
+// when the process alternates between operations.
+func TestEmitPathZeroAlloc(t *testing.T) {
+	r := NewRecorder(Options{Slots: 1024, Deep: true})
+	inc := trace.Event{Kind: trace.Invoke, P: 3, Depth: 1, Obj: "ctr", Op: "Inc", Args: []uint64{1}}
+	read := trace.Event{Kind: trace.Response, P: 3, Depth: 1, Obj: "ctr", Op: "Read", Ret: 2}
+	r.Emit(inc)
+	r.Emit(read) // intern both, grow the cache to p3
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Emit(inc)
+		r.Emit(read)
+		r.Checkpoint(3, 1, "ctr", "Inc", 2, 0, 5)
+	}); n != 0 {
+		t.Fatalf("Emit/Checkpoint allocate %v times per op, want 0", n)
+	}
+}
+
+// TestEmitConcurrentProcs: processes emit in parallel while the
+// per-process attribution cache grows under them; every record must
+// carry its own process's names (run under -race for the data-race
+// half of the claim).
+func TestEmitConcurrentProcs(t *testing.T) {
+	const procs, per = 8, 200
+	r := NewRecorder(Options{Slots: 4 * procs * per})
+	var wg sync.WaitGroup
+	for p := 1; p <= procs; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			obj := fmt.Sprintf("o%d", p)
+			for i := 0; i < per; i++ {
+				op := "A"
+				if i%2 == 1 {
+					op = "B"
+				}
+				r.Emit(trace.Event{Kind: trace.Invoke, P: p, Depth: 1, Obj: obj, Op: op})
+			}
+		}(p)
+	}
+	wg.Wait()
+	n := 0
+	for _, rec := range r.Snapshot() {
+		if rec.Kind != KindBegin {
+			continue
+		}
+		n++
+		if want := fmt.Sprintf("o%d", rec.P); rec.Obj != want {
+			t.Fatalf("p%d record attributed to %q, want %q", rec.P, rec.Obj, want)
+		}
+	}
+	if n != procs*per {
+		t.Fatalf("%d begin records, want %d", n, procs*per)
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"nrl/internal/trace"
 )
 
 // Kind discriminates the four step kinds of the model.
@@ -178,41 +180,72 @@ func (h History) CrashFree() bool {
 }
 
 // Recorder collects steps concurrently. The zero value is not usable; use
-// NewRecorder.
+// NewRecorder. It is a trace.Tracer too: as proc.Config.Recorder it
+// derives the history from proc's op-lifecycle event stream (see Emit).
 type Recorder struct {
 	mu     sync.Mutex
 	steps  []Step
 	nextOp int64
 	seq    int64
+	// Emit's state: the OpID slot of each (process, depth), and the
+	// processes whose CRASH still awaits its REC.
+	open    map[[2]int]int64
+	crashed map[int]bool
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{nextOp: 1}
+	return &Recorder{nextOp: 1, open: map[[2]int]int64{}, crashed: map[int]bool{}}
 }
 
-// NewOpID allocates a fresh operation identifier.
-func (r *Recorder) NewOpID() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.nextOp
-	r.nextOp++
-	return id
-}
-
-// Append records a step, assigning it the next sequence number. The
-// step's Args slice is copied: emitters (the proc layer's frame arena)
-// reuse the backing storage across invocations, so the recorder owns an
-// immutable snapshot rather than an alias into live frames.
+// Append records a step, assigning it the next sequence number and
+// copying its Args (see trace.Event for why emitters' argument slices
+// must not be retained).
 func (r *Recorder) Append(s Step) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.append(s)
+}
+
+func (r *Recorder) append(s Step) {
 	s.Seq = r.seq
 	r.seq++
 	if len(s.Args) > 0 {
 		s.Args = append([]uint64(nil), s.Args...)
 	}
 	r.steps = append(r.steps, s)
+}
+
+// Emit implements trace.Tracer, mapping proc's op-lifecycle edges onto
+// steps: Invoke is INV and allocates an OpID into the slot for its
+// (process, depth); Response and RecoverDone are RES; Crash is CRASH; only
+// the first Recover after a Crash is REC (the cascade's later Recover
+// edges belong to the same resurrection). Each step carries the OpID
+// pending at its depth. Other kinds are ignored.
+func (r *Recorder) Emit(e trace.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	slot := [2]int{e.P, e.Depth}
+	s := Step{Proc: e.P, Obj: e.Obj, Op: e.Op}
+	switch e.Kind {
+	case trace.Invoke:
+		r.open[slot] = r.nextOp
+		r.nextOp++
+		s.Kind, s.Args = Inv, e.Args
+	case trace.Response, trace.RecoverDone:
+		s.Kind, s.Ret = Res, e.Ret
+	case trace.Crash:
+		s.Kind, r.crashed[e.P] = Crash, true
+	case trace.Recover:
+		if !r.crashed[e.P] {
+			return
+		}
+		s.Kind, r.crashed[e.P] = Rec, false
+	default:
+		return
+	}
+	s.OpID = r.open[slot]
+	r.append(s)
 }
 
 // History returns a copy of the recorded history so far.

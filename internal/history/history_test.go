@@ -1,9 +1,12 @@
 package history
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"nrl/internal/trace"
 )
 
 // mk builds a step with the given fields.
@@ -55,13 +58,8 @@ func TestStepString(t *testing.T) {
 
 func TestRecorderSequencing(t *testing.T) {
 	r := NewRecorder()
-	id1 := r.NewOpID()
-	id2 := r.NewOpID()
-	if id1 == id2 {
-		t.Fatal("NewOpID returned duplicate ids")
-	}
-	r.Append(mk(Inv, 1, "o", "OP", id1))
-	r.Append(mk(Res, 1, "o", "OP", id1))
+	r.Append(mk(Inv, 1, "o", "OP", 1))
+	r.Append(mk(Res, 1, "o", "OP", 1))
 	h := r.History()
 	if h.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", h.Len())
@@ -72,6 +70,50 @@ func TestRecorderSequencing(t *testing.T) {
 	r.Reset()
 	if r.History().Len() != 0 {
 		t.Error("Reset did not clear steps")
+	}
+}
+
+// TestRecorderEmit: the recorder derives the history from the proc
+// layer's lifecycle events — INV allocates an OpID into the process's
+// slot for its depth, both completion edges are RES, and only the first
+// Recover after a Crash is a REC step.
+func TestRecorderEmit(t *testing.T) {
+	r := NewRecorder()
+	ev := func(k trace.Kind, p, depth int, obj string, args ...uint64) trace.Event {
+		return trace.Event{Kind: k, P: p, Depth: depth, Obj: obj, Op: "OP", Args: args, Ret: 9}
+	}
+	args := []uint64{4}
+	for _, e := range []trace.Event{
+		ev(trace.Invoke, 1, 1, "outer", args...),
+		ev(trace.Invoke, 2, 1, "other"),
+		ev(trace.Invoke, 1, 2, "inner", 5),
+		ev(trace.Crash, 1, 2, "inner"),
+		ev(trace.Recover, 1, 2, "inner"),
+		ev(trace.RecoverDone, 1, 2, "inner"),
+		ev(trace.Recover, 1, 1, "outer"), // cascade: no second REC
+		ev(trace.RecoverDone, 1, 1, "outer"),
+		ev(trace.Response, 2, 1, "other"),
+		ev(trace.MemWrite, 1, 1, "outer"), // not a lifecycle edge
+	} {
+		r.Emit(e)
+	}
+	args[0] = 99 // the recorder must not alias emitters' argument storage
+	h := r.History()
+	want := "INV p1 outer.OP(4)\nINV p2 other.OP()\nINV p1 inner.OP(5)\n" +
+		"CRASH p1 [in inner.OP]\nREC p1 [in inner.OP]\nRES p1 inner.OP -> 9\n" +
+		"RES p1 outer.OP -> 9\nRES p2 other.OP -> 9\n"
+	if got := h.String(); got != want {
+		t.Fatalf("history =\n%s\nwant\n%s", got, want)
+	}
+	var ids []int64
+	for _, s := range h.Steps {
+		ids = append(ids, s.OpID)
+	}
+	if fmt.Sprint(ids) != "[1 2 3 3 3 3 1 2]" {
+		t.Errorf("OpIDs = %v, want [1 2 3 3 3 3 1 2]", ids)
+	}
+	if err := h.CheckRecoverableWellFormed(); err != nil {
+		t.Error(err)
 	}
 }
 

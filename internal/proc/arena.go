@@ -1,10 +1,6 @@
 package proc
 
-import (
-	"fmt"
-
-	"nrl/internal/flightrec"
-)
+import "fmt"
 
 // The frame arena (DESIGN.md §13) is the zero-allocation backing store
 // for the per-process operation stack. The paper's model bounds both
@@ -88,15 +84,11 @@ func (e *DepthError) Error() string {
 // frames — including the same argument words — that the interrupted
 // attempt was using.
 type frame struct {
-	op   Operation
-	opID int64
-	// fref is the flight-recorder attribution (interned obj/op name ids),
-	// resolved lazily by the frame's first record that survives the
-	// shallow-mode drop — in shallow mode a nested frame usually never
-	// resolves one. Like the rest of the frame it is system state:
-	// recovery records reuse it.
-	fref   flightrec.Ref
-	frefOK bool
+	op Operation
+	// info is op.Info(), resolved once at push for the lifecycle: every
+	// edge the frame reports carries its names, and Exec is entered at
+	// its Entry/RecoverEntry.
+	info OpInfo
 	// args holds the operation's arguments inline (bounded by MaxOpArgs);
 	// nargs is how many are in use. argSlice views the live prefix.
 	nargs int
@@ -115,16 +107,6 @@ type frame struct {
 }
 
 // argSlice views the frame's live arguments. The slice aliases the
-// arena: it is valid only while the frame is pending, and consumers
-// that outlive the frame (the history recorder, retaining trace sinks)
-// must copy it — see history.Recorder.Append and trace.Ring.Emit.
+// arena: it is valid only while the frame is pending (the retention
+// rule for sinks is stated on trace.Event).
 func (fr *frame) argSlice() []uint64 { return fr.args[:fr.nargs] }
-
-// firstArg is the flight-recorder begin payload: the operation's first
-// argument, or zero for a no-argument operation.
-func (fr *frame) firstArg() uint64 {
-	if fr.nargs == 0 {
-		return 0
-	}
-	return fr.args[0]
-}

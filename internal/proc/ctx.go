@@ -3,8 +3,6 @@ package proc
 import (
 	"runtime"
 
-	"nrl/internal/flightrec"
-	"nrl/internal/history"
 	"nrl/internal/nvm"
 	"nrl/internal/trace"
 )
@@ -54,6 +52,10 @@ func (c *Ctx) step(line int, updateLI bool) {
 	gs := p.sys.globalSteps.Add(1)
 	p.sys.sched.Yield(p.id)
 	fr := p.top()
+	// Crash points resolve Info per step rather than reading fr.info:
+	// that speedup shrinks the base of the flight-recorder overhead
+	// ratio, so it has to come with a re-priced RecorderOverheadBudget
+	// (internal/bench).
 	info := fr.op.Info()
 	pt := CrashPoint{
 		Proc:       p.id,
@@ -76,7 +78,8 @@ func (c *Ctx) step(line int, updateLI bool) {
 		// LI_p checkpoints are deep-mode-only: the frecDeep guard keeps
 		// the shallow hot path at one predictable branch per step.
 		if p.sys.frecDeep {
-			p.recordFR(flightrec.KindCheckpoint, fr, 0)
+			p.sys.frec.Checkpoint(p.id, p.depth, info.Obj, info.Op,
+				line, fr.attempts, p.sys.globalSteps.Load())
 		}
 	}
 }
@@ -132,16 +135,8 @@ func (c *Ctx) Invoke(op Operation, args ...uint64) uint64 {
 	if p.depth == 0 {
 		return p.call(op, args)
 	}
-	fr := p.push(op, args)
-	p.record(history.Inv, fr, fr.argSlice(), 0)
-	p.emitOp(trace.Invoke, fr, fr.argSlice(), 0)
-	p.recordFR(flightrec.KindBegin, fr, fr.firstArg())
-	ret := op.Exec(c, op.Info().Entry)
-	p.record(history.Res, fr, nil, ret)
-	p.emitOp(trace.Response, fr, nil, ret)
-	p.recordFR(flightrec.KindEnd, fr, ret)
-	p.pop()
-	return ret
+	p.begin(op, args)
+	return p.execTop()
 }
 
 // TryInvoke is Invoke with the arena's limit checks surfaced as a
@@ -151,13 +146,8 @@ func (c *Ctx) Invoke(op Operation, args ...uint64) uint64 {
 // in either case. A nil error means the operation ran to completion and
 // ret is its response, exactly as Invoke would have returned it.
 func (c *Ctx) TryInvoke(op Operation, args ...uint64) (ret uint64, err error) {
-	if len(args) > MaxOpArgs {
-		info := op.Info()
-		return 0, &ArityError{Obj: info.Obj, Op: info.Op, Got: len(args), Max: MaxOpArgs}
-	}
-	if c.p.depth >= MaxNestingDepth {
-		info := op.Info()
-		return 0, &DepthError{Obj: info.Obj, Op: info.Op, Depth: c.p.depth + 1, Max: MaxNestingDepth}
+	if err := c.p.limitErr(op, len(args)); err != nil {
+		return 0, err
 	}
 	return c.Invoke(op, args...), nil
 }

@@ -28,16 +28,20 @@
 //
 // # Nesting
 //
-// ctx.Invoke runs a child operation: it pushes a frame, records the
-// invocation in the history, executes the child, records the response and
-// pops. When the stack is empty, Invoke acts as the top-level entry point
-// and additionally plays the system's role: it catches crash panics,
-// records CRASH/REC steps, invokes the inner-most pending operation's
+// ctx.Invoke runs a child operation: it pushes a frame, reports the
+// invocation, executes the child, reports the response and pops. When the
+// stack is empty, Invoke acts as the top-level entry point and
+// additionally plays the system's role: it catches crash panics, reports
+// the crash and recovery, invokes the inner-most pending operation's
 // recovery function, and, as each frame completes, hands the response to
 // the parent frame and resumes the parent at its saved LI (the invoke
 // line). The response handed to a parent is volatile — it is discarded if
 // the process crashes before the parent consumes it — which reproduces the
 // paper's motivating lost-response scenario.
+//
+// Each edge — invoke, response, crash, recover, recover-done — is
+// reported once, as a trace.Event, to one sink combining Config.Recorder,
+// Config.Tracer and Config.FlightRec; the history is derived from it.
 //
 // # Scheduling and crash injection
 //

@@ -61,14 +61,23 @@ const DefaultAwaitBudget = 5_000_000
 // and a history recorder. It plays the role of "the system" in the paper's
 // model: it resurrects crashed processes by invoking recovery functions.
 type System struct {
-	mem           *nvm.Memory
-	rec           *history.Recorder
-	tracer        trace.Tracer
-	frec          *flightrec.Recorder
-	frecDeep      bool // cached FlightRec.DeepMode(): gates per-step checkpoints
-	inj           Injector
-	sched         Scheduler
-	procs         []*Proc
+	mem    *nvm.Memory
+	rec    *history.Recorder
+	tracer trace.Tracer
+	// events is the op-lifecycle sink: history, tracer and flight
+	// recorder combined, in that order (nil when none is set).
+	events   trace.Tracer
+	frec     *flightrec.Recorder
+	frecDeep bool // cached FlightRec.DeepMode(): gates per-step checkpoints
+	// topOnly: the only sink is a shallow flight recorder, which ignores
+	// nested Invoke/Response edges, so emit does not build them.
+	topOnly bool
+	inj     Injector
+	sched   Scheduler
+	procs   []*Proc
+	// globalSteps is written by every step of every process; the pad
+	// keeps the read-mostly fields above off its cache line.
+	_             [64]byte
 	globalSteps   atomic.Uint64
 	awaitBudget   int
 	recoverPanics bool
@@ -106,15 +115,31 @@ func NewSystem(cfg Config) *System {
 	if tracer != nil {
 		mem.SetTracer(tracer)
 	}
+	var sinks trace.Multi
+	if cfg.Recorder != nil {
+		sinks = append(sinks, cfg.Recorder)
+	}
+	if tracer != nil {
+		sinks = append(sinks, tracer)
+	}
 	if cfg.FlightRec != nil {
 		mem.SetRecorder(cfg.FlightRec)
+		sinks = append(sinks, cfg.FlightRec)
+	}
+	var events trace.Tracer
+	if len(sinks) == 1 {
+		events = sinks[0]
+	} else if len(sinks) > 1 {
+		events = sinks
 	}
 	s := &System{
 		mem:           mem,
 		rec:           cfg.Recorder,
 		tracer:        tracer,
+		events:        events,
 		frec:          cfg.FlightRec,
 		frecDeep:      cfg.FlightRec != nil && cfg.FlightRec.DeepMode(),
+		topOnly:       len(sinks) == 1 && cfg.FlightRec != nil && !cfg.FlightRec.DeepMode(),
 		inj:           inj,
 		sched:         sched,
 		awaitBudget:   budget,
@@ -261,15 +286,6 @@ type Proc struct {
 	// awaiting is only touched by the process's own goroutine; it flags
 	// steps taken inside an Await loop for CrashPoint.Awaiting.
 	awaiting bool
-
-	// frefObj/frefOp/frefCache are a one-entry flight-recorder Ref cache
-	// (own-goroutine only): a process typically invokes the same operation
-	// in a loop, and Refs are stable, so push usually skips the interning
-	// tables entirely. The string compares hit the pointer-equality fast
-	// path when the names come from the same OpInfo.
-	frefObj   string
-	frefOp    string
-	frefCache flightrec.Ref
 }
 
 // ID returns the process id (1-based).
@@ -288,93 +304,79 @@ func (p *Proc) Ctx() *Ctx { return p.ctx }
 func (p *Proc) top() *frame { return &p.frames[p.depth-1] }
 
 // push claims the next arena frame for an invocation of op, resetting
-// it and snapshotting args into its inline array. The bounds are the
-// arena's two documented limits: more than MaxOpArgs arguments raises a
-// typed *ArityError, nesting past MaxNestingDepth a typed *DepthError
-// (both delivered by panic here — Ctx.Invoke cannot return an error —
-// and converted to plain errors under Config.RecoverPanics; callers
-// wanting the error without the panic use Ctx.TryInvoke).
+// it and snapshotting args into its inline array, after checkLimits has
+// admitted the invocation.
 func (p *Proc) push(op Operation, args []uint64) *frame {
-	if len(args) > MaxOpArgs {
+	p.checkLimits(op, len(args))
+	fr := &p.frames[p.depth]
+	p.depth++
+	*fr = frame{op: op, info: op.Info()}
+	fr.nargs = copy(fr.args[:], args)
+	return fr
+}
+
+// checkLimits is the one check of the arena's limits on an invocation of
+// op with nargs arguments: past MaxOpArgs it panics with a typed
+// *ArityError, past MaxNestingDepth with a typed *DepthError (Ctx.Invoke
+// has no error result; Config.RecoverPanics converts the panic, and
+// limitErr returns the value for Ctx.TryInvoke). Building the error
+// inside the panic keeps push's admitted path allocation-free.
+func (p *Proc) checkLimits(op Operation, nargs int) {
+	if nargs > MaxOpArgs {
 		info := op.Info()
-		panic(&ArityError{Obj: info.Obj, Op: info.Op, Got: len(args), Max: MaxOpArgs})
+		panic(&ArityError{Obj: info.Obj, Op: info.Op, Got: nargs, Max: MaxOpArgs})
 	}
 	if p.depth >= MaxNestingDepth {
 		info := op.Info()
 		panic(&DepthError{Obj: info.Obj, Op: info.Op, Depth: p.depth + 1, Max: MaxNestingDepth})
 	}
-	fr := &p.frames[p.depth]
-	p.depth++
-	var opID int64
-	if p.sys.rec != nil {
-		opID = p.sys.rec.NewOpID()
-	}
-	*fr = frame{op: op, opID: opID}
-	fr.nargs = copy(fr.args[:], args)
-	return fr
 }
 
-func (p *Proc) pop() {
-	p.depth--
+// limitErr returns the typed error checkLimits panics with for an
+// invocation of op with nargs arguments, or nil if the invocation fits.
+func (p *Proc) limitErr(op Operation, nargs int) (err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *ArityError, *DepthError:
+			err = r.(error)
+		default:
+			panic(r)
+		}
+	}()
+	p.checkLimits(op, nargs)
+	return nil
 }
 
-func (p *Proc) record(k history.Kind, fr *frame, args []uint64, ret uint64) {
-	if p.sys.rec == nil {
+// emit is the one place proc reports an op-lifecycle edge: the event for
+// the top frame snapshots its LI, attempt count and depth and the step
+// counters. Args aliases the frame arena (see trace.Event).
+func (p *Proc) emit(k trace.Kind, args []uint64, ret uint64) {
+	ev := p.sys.events
+	if ev == nil || (p.sys.topOnly && p.depth > 1 && (k == trace.Invoke || k == trace.Response)) {
 		return
 	}
-	info := fr.op.Info()
-	p.sys.rec.Append(history.Step{
-		Kind: k, Proc: p.id, Obj: info.Obj, Op: info.Op,
-		Args: args, Ret: ret, OpID: fr.opID,
-	})
-}
-
-// emitOp sends one operation-lifecycle trace event for fr. The event
-// snapshots the frame's LI, recovery-attempt count and nesting depth, and
-// the process/global step counters, at the moment of emission.
-func (p *Proc) emitOp(k trace.Kind, fr *frame, args []uint64, ret uint64) {
-	t := p.sys.tracer
-	if t == nil {
-		return
-	}
-	info := fr.op.Info()
-	t.Emit(trace.Event{
-		Kind: k, P: p.id, Obj: info.Obj, Op: info.Op,
+	fr := p.top()
+	ev.Emit(trace.Event{
+		Kind: k, P: p.id, Obj: fr.info.Obj, Op: fr.info.Op,
 		Depth: p.depth, Line: fr.li, Attempt: fr.attempts,
 		PStep: p.steps.Load(), GStep: p.sys.globalSteps.Load(),
 		Addr: int32(nvm.InvalidAddr), Args: args, Ret: ret,
 	})
 }
 
-// recordFR writes one flight-recorder record for fr. Unlike emitOp's
-// trace events, these survive the process: the recorder's ring rides
-// the durable backend's commit fences. The first operation argument
-// (begin) or the response (end/recover-exit) travels in Val — it is
-// what lets the kill harness line surviving records up against
-// recovered state.
-func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
-	r := p.sys.frec
-	if r == nil {
-		return
-	}
-	depth := p.depth
-	// Mirror the recorder's shallow-mode drop before resolving the
-	// attribution: a nested begin/end that will be dropped anyway should
-	// not pay (or trigger) name interning.
-	if !p.sys.frecDeep && depth > 1 &&
-		(kind == flightrec.KindBegin || kind == flightrec.KindEnd) {
-		return
-	}
-	if !fr.frefOK {
-		info := fr.op.Info()
-		if info.Obj != p.frefObj || info.Op != p.frefOp {
-			p.frefCache = r.Ref(info.Obj, info.Op)
-			p.frefObj, p.frefOp = info.Obj, info.Op
-		}
-		fr.fref, fr.frefOK = p.frefCache, true
-	}
-	r.RecordOp(kind, p.id, depth, fr.fref,
-		fr.li, fr.attempts, val, p.sys.globalSteps.Load())
+// begin pushes a frame for op and reports the Invoke edge, for nested
+// (Ctx.Invoke) and top-level (call) invocations alike.
+func (p *Proc) begin(op Operation, args []uint64) {
+	p.emit(trace.Invoke, p.push(op, args).argSlice(), 0)
+}
+
+// finish reports the top frame's completion edge (Response or
+// RecoverDone) and pops the frame.
+func (p *Proc) finish(k trace.Kind, ret uint64) uint64 {
+	p.emit(k, nil, ret)
+	p.depth--
+	return ret
 }
 
 // call runs a top-level operation to completion, surviving any number of
@@ -385,10 +387,7 @@ func (p *Proc) recordFR(kind flightrec.Kind, fr *frame, val uint64) {
 //
 //nrl:hotpath every recoverable operation runs through here (ROADMAP item 1)
 func (p *Proc) call(op Operation, args []uint64) uint64 {
-	fr := p.push(op, args)
-	p.record(history.Inv, fr, fr.argSlice(), 0)
-	p.emitOp(trace.Invoke, fr, fr.argSlice(), 0)
-	p.recordFR(flightrec.KindBegin, fr, fr.firstArg())
+	p.begin(op, args)
 	ret, ok := p.attempt(true)
 	for !ok {
 		ret, ok = p.attempt(false)
@@ -412,17 +411,12 @@ func (p *Proc) attempt(fresh bool) (ret uint64, ok bool) {
 }
 
 // execTop executes the top frame's body from its entry line and retires
-// the frame (the response records, then the pop).
+// the frame; top-level and nested invocations share it.
 //
 //nrl:hotpath every recoverable operation runs through here (ROADMAP item 1)
 func (p *Proc) execTop() uint64 {
 	fr := p.top()
-	r := fr.op.Exec(p.ctx, fr.op.Info().Entry)
-	p.record(history.Res, fr, nil, r)
-	p.emitOp(trace.Response, fr, nil, r)
-	p.recordFR(flightrec.KindEnd, fr, r)
-	p.pop()
-	return r
+	return p.finish(trace.Response, fr.op.Exec(p.ctx, fr.info.Entry))
 }
 
 // catchCrash is the deferred crash handler of attempt: a crash panic of
@@ -440,13 +434,11 @@ func (p *Proc) catchCrash(ok *bool) {
 	}
 }
 
-// onCrash records the crash step and discards volatile state. The crashed
+// onCrash reports the Crash edge and discards volatile state. The crashed
 // operation is the inner-most pending one (the top frame).
 func (p *Proc) onCrash() {
 	p.crashes.Add(1)
-	p.record(history.Crash, p.top(), nil, 0)
-	p.emitOp(trace.Crash, p.top(), nil, 0)
-	p.recordFR(flightrec.KindCrash, p.top(), 0)
+	p.emit(trace.Crash, nil, 0)
 	for i := 0; i < p.depth; i++ {
 		p.frames[i].childValid = false
 	}
@@ -480,18 +472,11 @@ func (p *Proc) onCrash() {
 //
 //nrl:hotpath every recoverable operation runs through here (ROADMAP item 1)
 func (p *Proc) resume() uint64 {
-	p.record(history.Rec, p.top(), nil, 0)
-	var ret uint64
 	for {
 		fr := p.top()
 		fr.attempts++
-		p.emitOp(trace.Recover, fr, nil, 0)
-		p.recordFR(flightrec.KindRecoverEnter, fr, 0)
-		ret = fr.op.Exec(p.ctx, fr.op.Info().RecoverEntry)
-		p.record(history.Res, fr, nil, ret)
-		p.emitOp(trace.RecoverDone, fr, nil, ret)
-		p.recordFR(flightrec.KindRecoverExit, fr, ret)
-		p.pop()
+		p.emit(trace.Recover, nil, 0)
+		ret := p.finish(trace.RecoverDone, fr.op.Exec(p.ctx, fr.info.RecoverEntry))
 		if p.depth == 0 {
 			return ret
 		}

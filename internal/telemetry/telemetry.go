@@ -221,7 +221,11 @@ func MemoryHealth(m *nvm.Memory) func() error {
 
 // Ring adapts a bounded trace ring into a metric group: raw ring
 // counters plus the aggregate profile of the events currently in the
-// window (rebuilt per sample; rings are small by construction).
+// window (rebuilt per sample; rings are small by construction). Only
+// events_total and events_dropped count the whole run: the invokes,
+// completes, crashes and recoveries counts (like fences and commits)
+// cover the ring's current window, not the run, and can fall as the
+// ring overwrites old events.
 func Ring(r *trace.Ring) Sampler {
 	return func() map[string]any {
 		p := trace.Build(r.Events())

@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"nrl/internal/trace"
@@ -77,51 +76,5 @@ func TestReadJSONLEmpty(t *testing.T) {
 	events, note, err := trace.ReadJSONL(strings.NewReader(""))
 	if err != nil || note != "" || len(events) != 0 {
 		t.Fatalf("empty stream = %d events, note %q, err %v", len(events), note, err)
-	}
-}
-
-// TestSwappableConcurrent: sinks are rotated while emitters hammer the
-// tracer; every event lands in exactly one ring and none are lost.
-func TestSwappableConcurrent(t *testing.T) {
-	const (
-		emitters  = 4
-		perEmit   = 2000
-		rotations = 50
-	)
-	first := trace.NewRing(emitters * perEmit)
-	sw := trace.NewSwappable(first)
-	rings := []*trace.Ring{first}
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for e := 0; e < emitters; e++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for i := 0; i < perEmit; i++ {
-				sw.Emit(trace.Event{Kind: trace.MemRead, P: 1, Addr: -1})
-			}
-		}()
-	}
-	close(start)
-	for r := 0; r < rotations; r++ {
-		ring := trace.NewRing(emitters * perEmit)
-		sw.Swap(ring)
-		rings = append(rings, ring)
-	}
-	wg.Wait()
-	sw.Swap(nil)
-	// A sink was installed before any emitter started and rotation ended
-	// only after every emitter finished: each event landed in exactly
-	// one ring, so the totals must add up with nothing lost.
-	var landed uint64
-	for _, r := range rings {
-		landed += r.Total()
-	}
-	if want := uint64(emitters * perEmit); landed != want {
-		t.Fatalf("landed %d events across %d sinks, want exactly %d", landed, len(rings), want)
-	}
-	if sw.Current() != nil {
-		t.Error("Current() after Swap(nil) is not nil")
 	}
 }

@@ -2,15 +2,17 @@
 // a low-overhead event stream threaded through the execution model (package
 // proc), the simulated NVRAM (package nvm) and the experiment harness.
 //
-// The history recorder (package history) captures the *linearizability*
-// view of a run — invocations and responses to be checked against the NRL
-// condition. This package captures the *performance and recovery* view:
-// every operation lifecycle transition (invoke, response, crash, recover,
-// recover-done) and every memory primitive (read, write, cas, tas, faa,
-// flush, fence), each attributed to the issuing process, object and
-// nesting depth. Profiles built from the stream (see profile.go) answer
-// questions the history cannot: where recovery work concentrates, how many
-// flushes and fences a completed operation costs, how deep crashes nest.
+// Event is proc's one op-lifecycle edge value: the history recorder
+// (package history), which captures the *linearizability* view of a run,
+// and the flight recorder (package flightrec) are Tracer adapters on the
+// same stream. This package's sinks capture the *performance and
+// recovery* view: every operation lifecycle transition (invoke, response,
+// crash, recover, recover-done) and every memory primitive (read, write,
+// cas, tas, faa, flush, fence), each attributed to the issuing process,
+// object and nesting depth. Profiles built from the stream (see
+// profile.go) answer questions the history cannot: where recovery work
+// concentrates, how many flushes and fences a completed operation costs,
+// how deep crashes nest.
 //
 // Sinks implement the Tracer interface. Three are provided:
 //
@@ -120,11 +122,10 @@ func (k Kind) Mem() bool { return k >= MemRead && k <= MemFence }
 
 // Event is one trace event. Which fields are meaningful depends on Kind;
 // unused fields are zero and omitted from the JSON encoding where
-// possible. Events are plain values with one caveat: Args, the only
-// reference field, may alias the emitting process's frame arena, whose
-// storage is reused by later invocations. It is valid for the duration
-// of Emit; a sink that retains events past the call must copy it (Ring
-// does, JSONL serializes inline).
+// possible. Events are plain values with one caveat, the Args retention
+// rule: Args may alias the emitting process's frame arena, which the next
+// invocation at that depth reuses. It is valid for the duration of Emit;
+// a sink that retains it must copy it (Ring and history.Recorder do).
 type Event struct {
 	Kind Kind `json:"kind"`
 	// P is the issuing process id (1-based); 0 means unattributed (a raw
@@ -248,8 +249,7 @@ func NewRing(n int) *Ring {
 }
 
 // Emit implements Tracer. The ring retains events past the call, so it
-// copies Args — the only reference field, and one whose backing storage
-// the emitting process's frame arena reuses across invocations.
+// copies Args (see Event).
 func (r *Ring) Emit(e Event) {
 	if len(e.Args) > 0 {
 		e.Args = append([]uint64(nil), e.Args...)
