@@ -101,4 +101,4 @@ replchaos:
 # (TestRegressionCorpus); this is the explicit loop for bisecting a
 # drifted trace.
 replay:
-	$(GO) test ./internal/chaos -run 'TestRegressionCorpus|TestReplayTrace' -count=1 -v
+	$(GO) test ./internal/chaos -run 'TestRegressionCorpus|TestReplayTrace|TestKillTraceCorpus' -count=1 -v
