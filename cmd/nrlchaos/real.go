@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"time"
 
 	"nrl/internal/chaos"
@@ -53,16 +52,14 @@ func runReal(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
 		return exitUsage
 	}
-	worker := func(verify bool) *exec.Cmd {
-		wargs := []string{"-realworker",
-			"-dir", storeDir,
-			"-appends", strconv.Itoa(*appends),
-			"-capacity", strconv.Itoa(*capacity),
-		}
-		if verify {
-			wargs = append(wargs, "-verify")
-		}
-		return exec.Command(exe, wargs...)
+	kc := chaos.KillConfig{
+		Rounds:       *rounds,
+		Seed:         *seed,
+		MaxKillDelay: *maxDelay,
+		Base:         chaos.KillWorkerConfig{Dir: storeDir, Appends: *appends, Capacity: *capacity},
+		Worker: func(wc chaos.KillWorkerConfig) *exec.Cmd {
+			return exec.Command(exe, append([]string{"-realworker"}, wc.Args()...)...)
+		},
 	}
 
 	var res *chaos.KillResult
@@ -76,17 +73,10 @@ func runReal(args []string, out, errOut io.Writer) int {
 			fmt.Fprintln(errOut, "nrlchaos:", rerr)
 			return exitUsage
 		}
-		res, div, err = chaos.ReplayKillTrace(rec, worker)
-		if err == nil {
-			*rounds = rec.Header.Rounds
-		}
+		res, div, err = chaos.ReplayKillTrace(rec, kc)
+		*rounds = rec.Header.Rounds
 	} else {
-		res, err = chaos.RunKillCampaign(chaos.KillConfig{
-			Rounds:       *rounds,
-			Seed:         *seed,
-			MaxKillDelay: *maxDelay,
-			Worker:       worker,
-		})
+		res, err = chaos.RunKillCampaign(kc)
 	}
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlchaos:", err)
@@ -142,27 +132,15 @@ func runReal(args []string, out, errOut io.Writer) int {
 }
 
 // runRealWorker is the -realworker mode: one incarnation of the
-// kill-harness workload, spawned by runReal (or by hand for debugging).
-// Its stdout is the worker line protocol; its exit code is one of the
+// kill-harness workload, spawned by runReal (or by hand for debugging),
+// configured by the flags chaos.KillWorkerConfig.Args writes. Its
+// stdout is the worker line protocol; its exit code is one of the
 // chaos.KillWorker codes.
 func runRealWorker(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("nrlchaos -realworker", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	dir := fs.String("dir", "", "persist store directory")
-	appends := fs.Int("appends", 40, "log appends to perform")
-	capacity := fs.Int("capacity", 1<<16, "log capacity in records")
-	verify := fs.Bool("verify", false, "recover and verify only, no appends")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := chaos.ParseKillWorkerArgs(args)
+	if err != nil {
+		fmt.Fprintln(errOut, "nrlchaos -realworker:", err)
 		return exitUsage
 	}
-	if *dir == "" {
-		fmt.Fprintln(errOut, "nrlchaos: -realworker needs -dir")
-		return exitUsage
-	}
-	return chaos.RunKillWorker(chaos.KillWorkerConfig{
-		Dir:      *dir,
-		Appends:  *appends,
-		Capacity: *capacity,
-		Verify:   *verify,
-	}, out)
+	return chaos.RunKillWorker(cfg, out)
 }

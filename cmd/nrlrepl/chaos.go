@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"time"
 
 	"nrl/internal/chaos"
@@ -69,24 +68,19 @@ func runChaos(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "nrlrepl chaos:", err)
 		return exitUsage
 	}
-	worker := func(verify bool, faultDir, faultAfter, faultFor int, wseed int64) *exec.Cmd {
-		wargs := []string{"chaosworker",
-			"-root", *root,
-			"-replicas", strconv.Itoa(*replicas),
-			"-appends", strconv.Itoa(*appends),
-			"-capacity", strconv.Itoa(*capacity),
-			"-faultdir", strconv.Itoa(faultDir),
-			"-faultafter", strconv.Itoa(faultAfter),
-			"-faultfor", strconv.Itoa(faultFor),
-			"-seed", strconv.FormatInt(wseed, 10),
-		}
-		if verify {
-			wargs = append(wargs, "-verify")
-		}
-		return exec.Command(exe, wargs...)
+	kc := chaos.KillConfig{
+		Rounds:       *rounds,
+		Seed:         *seed,
+		MaxKillDelay: *maxDelay,
+		Base: chaos.KillWorkerConfig{
+			Dir: *root, Replicas: *replicas, Appends: *appends, Capacity: *capacity,
+		},
+		Worker: func(wc chaos.KillWorkerConfig) *exec.Cmd {
+			return exec.Command(exe, append([]string{"chaosworker"}, wc.Args()...)...)
+		},
 	}
 
-	var res *chaos.ReplKillResult
+	var res *chaos.KillResult
 	var div *schedtrace.Divergence
 	if *replay != "" {
 		// Replay: the recorded header fixes rounds, seed, replicas,
@@ -96,22 +90,10 @@ func runChaos(args []string, out, errOut io.Writer) int {
 			fmt.Fprintln(errOut, "nrlrepl chaos:", rerr)
 			return exitUsage
 		}
-		// The worker closure reads these through the flag pointers, so
-		// the incarnations are shaped by the recording, not the flags.
 		*rounds = rec.Header.Rounds
-		*replicas = rec.Header.Replicas
-		*appends = rec.Header.Appends
-		res, div, err = chaos.ReplayReplKillTrace(rec, *root, worker)
+		res, div, err = chaos.ReplayKillTrace(rec, kc)
 	} else {
-		res, err = chaos.RunReplKillCampaign(chaos.ReplKillConfig{
-			Rounds:       *rounds,
-			Seed:         *seed,
-			MaxKillDelay: *maxDelay,
-			Root:         *root,
-			Replicas:     *replicas,
-			Appends:      *appends,
-			Worker:       worker,
-		})
+		res, err = chaos.RunKillCampaign(kc)
 	}
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlrepl chaos:", err)
@@ -165,34 +147,14 @@ func runChaos(args []string, out, errOut io.Writer) int {
 }
 
 // runChaosWorker is the hidden worker mode: one incarnation of the
-// replica kill-harness workload. Its stdout is the worker line
+// replica kill-harness workload, configured by the flags
+// chaos.KillWorkerConfig.Args writes. Its stdout is the worker line
 // protocol; its exit code one of the chaos.KillWorker codes.
 func runChaosWorker(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("chaosworker", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	root, replicas := setFlags(fs)
-	appends := fs.Int("appends", 20, "log appends to perform")
-	capacity := fs.Int("capacity", 1<<14, "log capacity in records")
-	faultDir := fs.Int("faultdir", -1, "replica index whose I/O is dead (-1 none)")
-	faultAfter := fs.Int("faultafter", 0, "append count after which the fault arms")
-	faultFor := fs.Int("faultfor", 0, "appends the fault stays armed (0 = forever)")
-	seed := fs.Int64("seed", 0, "replica-set jitter seed for this incarnation")
-	verify := fs.Bool("verify", false, "recover and verify only, no appends")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := chaos.ParseKillWorkerArgs(args)
+	if err != nil {
+		fmt.Fprintln(errOut, "nrlrepl chaosworker:", err)
 		return exitUsage
 	}
-	if !checkSetFlags(fs, errOut, *root, *replicas) {
-		return exitUsage
-	}
-	return chaos.RunReplKillWorker(chaos.ReplKillWorkerConfig{
-		Root:       *root,
-		Replicas:   *replicas,
-		Appends:    *appends,
-		Capacity:   *capacity,
-		FaultDir:   *faultDir,
-		FaultAfter: *faultAfter,
-		FaultFor:   *faultFor,
-		Seed:       *seed,
-		Verify:     *verify,
-	}, out)
+	return chaos.RunKillWorker(cfg, out)
 }

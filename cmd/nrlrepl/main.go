@@ -133,7 +133,7 @@ func scanSet(root string, replicas int) []memberScan {
 		m.PagesTorn = rep.PagesTorn
 		return m
 	}
-	dirs := replicaDirs(root, replicas)
+	dirs := replica.MemberDirs(root, replicas)
 	ms := make([]memberScan, len(dirs))
 	best := -1
 	for i, d := range dirs {
@@ -150,14 +150,6 @@ func scanSet(root string, replicas int) []memberScan {
 		ms[best].Elect = true
 	}
 	return ms
-}
-
-func replicaDirs(root string, n int) []string {
-	ds := make([]string, n)
-	for i := range ds {
-		ds[i] = fmt.Sprintf("%s/r%d", root, i)
-	}
-	return ds
 }
 
 // statusDoc is the JSON document of init and status.
@@ -197,7 +189,7 @@ func runInit(args []string, out, errOut io.Writer) int {
 	// Opening the set creates every member directory, elects a leader,
 	// and attaches the followers; closing leaves a durable genesis store
 	// in each.
-	s, err := replica.Open(replica.Options{Dirs: replicaDirs(*root, *replicas)})
+	s, err := replica.Open(replica.Options{Dirs: replica.MemberDirs(*root, *replicas)})
 	if err != nil {
 		fmt.Fprintln(errOut, "nrlrepl init:", err)
 		return exitUsage
@@ -242,7 +234,7 @@ func runVerify(args []string, out, errOut io.Writer) int {
 	if !checkSetFlags(fs, errOut, *root, *replicas) {
 		return exitUsage
 	}
-	s, err := replica.Open(replica.Options{Dirs: replicaDirs(*root, *replicas)})
+	s, err := replica.Open(replica.Options{Dirs: replica.MemberDirs(*root, *replicas)})
 	if err != nil {
 		emit(out, verifyDoc{OK: false, Reason: err.Error()})
 		return exitViolation

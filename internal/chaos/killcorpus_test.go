@@ -33,40 +33,21 @@ func TestKillTraceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := t.TempDir()
-			var (
-				div         *schedtrace.Divergence
-				failures    []string
-				transcripts []string
-			)
-			switch rec.Header.Kind {
-			case schedtrace.KindKill:
-				var res *chaos.KillResult
-				res, div, err = chaos.ReplayKillTrace(rec, selfWorker(t, dir, 40, 16384))
-				if res != nil {
-					failures, transcripts = res.Failures, res.Transcripts
-				}
-			case schedtrace.KindReplKill:
-				var res *chaos.ReplKillResult
-				res, div, err = chaos.ReplayReplKillTrace(rec, dir,
-					selfReplWorker(t, dir, rec.Header.Replicas, rec.Header.Appends, 16384))
-				if res != nil {
-					failures, transcripts = res.Failures, res.Transcripts
-				}
-			default:
-				t.Fatalf("trace kind %q is not a kill kind", rec.Header.Kind)
-			}
+			res, div, err := chaos.ReplayKillTrace(rec, chaos.KillConfig{
+				Base:   chaos.KillWorkerConfig{Dir: t.TempDir(), Appends: 40, Capacity: 16384},
+				Worker: selfWorker(t),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range failures {
+			for _, f := range res.Failures {
 				t.Errorf("replay failure: %s", f)
 			}
 			if div != nil {
 				t.Errorf("%v", div)
 			}
 			if t.Failed() {
-				t.Logf("transcripts:\n%s", strings.Join(transcripts, "\n"))
+				t.Logf("transcripts:\n%s", strings.Join(res.Transcripts, "\n"))
 			}
 		})
 	}

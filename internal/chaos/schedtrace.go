@@ -6,7 +6,6 @@ package chaos
 
 import (
 	"fmt"
-	"os/exec"
 	"time"
 
 	schedtrace "nrl/internal/chaos/trace"
@@ -61,7 +60,7 @@ func RegressionTrace(w harness.Workload, procs, ops int, f *Failure, note string
 // describes and returns the fresh trace plus the first divergence (nil:
 // the replay reproduced the recording exactly). Only the simulated
 // kinds replay here; the SIGKILL kinds need a live worker harness
-// (ReplayKillTrace, ReplayReplKillTrace).
+// (ReplayKillTrace).
 func ReplayTrace(rec *schedtrace.Trace) (*schedtrace.Trace, *schedtrace.Divergence, error) {
 	switch rec.Header.Kind {
 	case schedtrace.KindCampaign:
@@ -114,42 +113,27 @@ func replayRegression(rec *schedtrace.Trace) (*schedtrace.Trace, *schedtrace.Div
 	return got, schedtrace.Diff(rec, got), nil
 }
 
-// ReplayKillTrace re-runs the SIGKILL campaign a KindKill trace records,
-// against the supplied worker builder, and diffs the fresh schedule
-// against the recorded one (observed outcomes do not gate; see the
-// trace package doc).
-func ReplayKillTrace(rec *schedtrace.Trace, worker func(verify bool) *exec.Cmd) (*KillResult, *schedtrace.Divergence, error) {
-	if rec.Header.Kind != schedtrace.KindKill {
-		return nil, nil, fmt.Errorf("chaos: trace kind %q, want %q", rec.Header.Kind, schedtrace.KindKill)
+// ReplayKillTrace re-runs the SIGKILL campaign a KindKill or
+// KindReplKill trace records and diffs the fresh schedule against the
+// recorded one (observed outcomes do not gate; see the trace package
+// doc). The header fixes the rounds, seed and kill window, and the
+// backend: a plain store for KindKill, a replica set of the recorded
+// size and append budget for KindReplKill. cfg supplies the rest — the
+// Worker and the Base directory (fresh, for a replica set) and
+// capacity.
+func ReplayKillTrace(rec *schedtrace.Trace, cfg KillConfig) (*KillResult, *schedtrace.Divergence, error) {
+	h := rec.Header
+	switch {
+	case h.Kind == schedtrace.KindKill:
+		cfg.Base.Replicas = 0
+	case h.Kind == schedtrace.KindReplKill && h.Replicas > 0:
+		cfg.Base.Replicas, cfg.Base.Appends = h.Replicas, h.Appends
+	default:
+		return nil, nil, fmt.Errorf("chaos: trace kind %q (replicas %d) is not a kill campaign", h.Kind, h.Replicas)
 	}
-	res, err := RunKillCampaign(KillConfig{
-		Rounds:       rec.Header.Rounds,
-		Seed:         rec.Header.Seed,
-		MaxKillDelay: time.Duration(rec.Header.MaxDelayUS) * time.Microsecond,
-		Worker:       worker,
-	})
-	if err != nil {
-		return res, nil, err
-	}
-	return res, schedtrace.Diff(rec, res.Trace), nil
-}
-
-// ReplayReplKillTrace re-runs the replica-fault campaign a KindReplKill
-// trace records, against a fresh root, and diffs the fresh schedule
-// against the recorded one.
-func ReplayReplKillTrace(rec *schedtrace.Trace, root string, worker func(verify bool, faultDir, faultAfter, faultFor int, seed int64) *exec.Cmd) (*ReplKillResult, *schedtrace.Divergence, error) {
-	if rec.Header.Kind != schedtrace.KindReplKill {
-		return nil, nil, fmt.Errorf("chaos: trace kind %q, want %q", rec.Header.Kind, schedtrace.KindReplKill)
-	}
-	res, err := RunReplKillCampaign(ReplKillConfig{
-		Rounds:       rec.Header.Rounds,
-		Seed:         rec.Header.Seed,
-		MaxKillDelay: time.Duration(rec.Header.MaxDelayUS) * time.Microsecond,
-		Root:         root,
-		Replicas:     rec.Header.Replicas,
-		Appends:      rec.Header.Appends,
-		Worker:       worker,
-	})
+	cfg.Rounds, cfg.Seed = h.Rounds, h.Seed
+	cfg.MaxKillDelay = time.Duration(h.MaxDelayUS) * time.Microsecond
+	res, err := RunKillCampaign(cfg)
 	if err != nil {
 		return res, nil, err
 	}

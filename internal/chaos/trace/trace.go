@@ -72,10 +72,11 @@ type Header struct {
 	Boost      float64 `json:"boost,omitempty"`
 	MaxCrashes int     `json:"max_crashes,omitempty"`
 	Target     string  `json:"target,omitempty"`
-	// Rounds/Appends/Capacity/Replicas/MaxDelayUS shape the kill kinds.
+	// Rounds and MaxDelayUS shape both kill kinds; Appends and Replicas
+	// only KindReplKill, whose fault arming windows and targets are
+	// drawn from them.
 	Rounds     int   `json:"rounds,omitempty"`
 	Appends    int   `json:"appends,omitempty"`
-	Capacity   int   `json:"capacity,omitempty"`
 	Replicas   int   `json:"replicas,omitempty"`
 	MaxDelayUS int64 `json:"max_delay_us,omitempty"`
 	// Note is free-form provenance ("found by nrlchaos -runs 500 …").

@@ -64,6 +64,18 @@ type Options struct {
 	Sleep func(time.Duration)
 }
 
+// MemberDirs returns the member directories of an n-member set laid out
+// under one root, in index order: root/r0 .. root/r{n-1}. It is the
+// layout the nrlrepl CLI and the kill harness share; Open itself takes
+// any Dirs.
+func MemberDirs(root string, n int) []string {
+	ds := make([]string, n)
+	for i := range ds {
+		ds[i] = filepath.Join(root, fmt.Sprintf("r%d", i))
+	}
+	return ds
+}
+
 func (o Options) withDefaults() Options {
 	if o.ShipRetries == 0 {
 		o.ShipRetries = 2

@@ -2,7 +2,6 @@ package replica_test
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -18,12 +17,7 @@ import (
 // dirs makes n replica directories under one temp root, named r0..r{n-1}.
 func dirs(t *testing.T, n int) []string {
 	t.Helper()
-	root := t.TempDir()
-	ds := make([]string, n)
-	for i := range ds {
-		ds[i] = filepath.Join(root, fmt.Sprintf("r%d", i))
-	}
-	return ds
+	return replica.MemberDirs(t.TempDir(), n)
 }
 
 // fastOpts is the base Set configuration for tests: no real sleeping,

@@ -373,7 +373,8 @@ const (
 	PhaseMidCommit = nvm.PhaseMidCommit
 )
 
-// Real-crash kill harness (see internal/chaos and cmd/nrlchaos -real).
+// Real-crash kill harness (see internal/chaos, cmd/nrlchaos -real and
+// nrlrepl chaos).
 type (
 	// KillConfig configures a real process-kill campaign.
 	KillConfig = chaos.KillConfig
@@ -392,8 +393,10 @@ var (
 	// RunKillCampaign SIGKILLs worker processes at seeded random points
 	// and verifies every restart recovers an NRL-consistent state.
 	RunKillCampaign = chaos.RunKillCampaign
-	// RunKillWorker runs one worker incarnation (call from a subprocess
-	// entry point; see cmd/nrlchaos -realworker).
+	// RunKillWorker runs one worker incarnation over a plain store or,
+	// when its config names a replica count, a replica set (call from a
+	// subprocess entry point that decodes KillWorkerConfig.Args; see
+	// cmd/nrlchaos -realworker and nrlrepl chaosworker).
 	RunKillWorker = chaos.RunKillWorker
 	// NewPhaseCoverage creates an empty phase-coverage table.
 	NewPhaseCoverage = chaos.NewPhaseCoverage
