@@ -40,6 +40,7 @@ func AllocCaps(suite string) map[string]float64 {
 		"Counter/Inc/mode=ADR/procs=1/flightrec=on",
 		"Counter/Inc/mode=Buffered/procs=1",
 		"Counter/Inc/mode=Buffered/procs=1/flightrec=on",
+		"Counter/Inc/mode=Buffered/procs=2",
 		"Counter/Inc/mode=ADR/procs=8",
 		"Counter/Inc/mode=Buffered/procs=8",
 		"Counter/Inc/mode=ADR/procs=1/flightrec=deep",

@@ -144,6 +144,10 @@ func ObjectsSuite() []Spec {
 		inst.Group = base.Group
 		specs = append(specs, base, inst)
 	}
+	// procs=2 against procs=1 is the scaling row: Counter/Inc touches
+	// only the caller's own register, so with two CPUs its throughput
+	// should nearly double.
+	specs = append(specs, counterSpec(nvm.Buffered, 2, nil, ""))
 	for _, mode := range []nvm.Mode{nvm.ADR, nvm.Buffered} {
 		specs = append(specs, counterSpec(mode, 8, nil, ""))
 	}

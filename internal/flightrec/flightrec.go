@@ -191,7 +191,10 @@ type Rec struct {
 	// Val is the kind-specific payload value: argument, response, or
 	// words drained/committed.
 	Val uint64
-	// GStep is the system-wide step counter at emission, when available.
+	// GStep is the system-wide step counter at emission, when available:
+	// proc supplies it to deep recorders only (a shallow recorder's
+	// lifecycle records carry 0, sparing each edge a load of every
+	// process's step counter).
 	GStep uint64
 }
 

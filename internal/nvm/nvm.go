@@ -54,6 +54,11 @@ const InvalidAddr Addr = -1
 // cache-line write-backs. Raw accesses without attribution share flush
 // set 0.
 type Memory struct {
+	// stats comes first: a Memory is a heap object whose size class is
+	// a multiple of 64 bytes, so at offset 0 every 128-byte stripe
+	// starts on a cache-line boundary (see Stats).
+	stats Stats
+
 	mode Mode
 
 	// next is the allocation cursor: addresses 0..next-1 are allocated.
@@ -87,8 +92,6 @@ type Memory struct {
 	degraded atomic.Bool
 	degMu    sync.Mutex
 	degErr   error
-
-	stats Stats
 
 	// trc, when non-nil, receives one trace event per primitive. It is
 	// set once, before the memory is shared (see SetTracer), so the
@@ -270,7 +273,7 @@ func (m *Memory) Read(a Addr) uint64 { return m.ReadAt(a, trace.Attr{}) } //nrl:
 //
 //nrl:hotpath NVRAM primitive, ~77 ns/op budget (DESIGN.md §9)
 func (m *Memory) ReadAt(a Addr, at trace.Attr) uint64 {
-	m.stats.reads.Add(1)
+	m.stats.add(at.P, statReads, 1)
 	v := m.wordAt(a).val.Load()
 	if m.trc != nil {
 		m.emit(trace.MemRead, a, v, at)
@@ -289,7 +292,7 @@ func (m *Memory) WriteAt(a Addr, v uint64, at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.writes.Add(1)
+	m.stats.add(at.P, statWrites, 1)
 	w := m.wordAt(a)
 	w.val.Store(v)
 	if m.mode == Buffered {
@@ -317,7 +320,7 @@ func (m *Memory) CASAt(a Addr, old, new uint64, at trace.Attr) bool {
 	if m.degraded.Load() {
 		return false
 	}
-	m.stats.cases.Add(1)
+	m.stats.add(at.P, statCASes, 1)
 	w := m.wordAt(a)
 	ok := w.val.CompareAndSwap(old, new)
 	if ok {
@@ -350,7 +353,7 @@ func (m *Memory) TASAt(a Addr, at trace.Attr) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
-	m.stats.tases.Add(1)
+	m.stats.add(at.P, statTASes, 1)
 	w := m.wordAt(a)
 	prev := w.val.Swap(1)
 	if m.mode == Buffered {
@@ -377,7 +380,7 @@ func (m *Memory) FAAAt(a Addr, delta uint64, at trace.Attr) uint64 {
 	if m.degraded.Load() {
 		return m.wordAt(a).val.Load()
 	}
-	m.stats.faas.Add(1)
+	m.stats.add(at.P, statFAAs, 1)
 	w := m.wordAt(a)
 	prev := w.val.Add(delta) - delta
 	if m.mode == Buffered {
@@ -407,7 +410,7 @@ func (m *Memory) FlushAt(a Addr, at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.flushes.Add(1)
+	m.stats.add(at.P, statFlushes, 1)
 	if m.mode == Buffered {
 		w := m.wordAt(a)
 		v := w.val.Load()
@@ -460,7 +463,7 @@ func (m *Memory) FenceAt(at trace.Attr) {
 	if m.degraded.Load() {
 		return
 	}
-	m.stats.fences.Add(1)
+	m.stats.add(at.P, statFences, 1)
 	if m.mode == Buffered {
 		if err := m.drainFlushes(at.P); err != nil {
 			m.degrade(err)
@@ -509,7 +512,7 @@ func (m *Memory) drainFlushes(p int) error {
 		// fence, and advancing one word's durable value is a single
 		// atomic store — no bank lock, no dedup, no bank-set bookkeeping.
 		m.applyPersist(entries[0])
-		m.stats.fenceWords.Add(1)
+		m.stats.add(p, statFenceWords, 1)
 		fs.entries = entries[:0]
 		if m.frec != nil {
 			m.frec.RecordFence(p, 1)
@@ -536,7 +539,7 @@ func (m *Memory) drainFlushes(p int) error {
 		si, _ := slotOf(e.a)
 		banks.add(si)
 	}
-	banks.lockAll(&m.shards, &m.stats)
+	banks.lockAll(&m.shards, &m.stats, p)
 	if m.backend != nil {
 		updates := make([]WordUpdate, len(batch)) //nrl:ignore backend shipping path; only taken with a replica attached
 		for i, e := range batch {
@@ -551,7 +554,7 @@ func (m *Memory) drainFlushes(p int) error {
 		m.applyPersist(e)
 	}
 	banks.unlockAll(&m.shards)
-	m.stats.fenceWords.Add(uint64(len(batch)))
+	m.stats.add(p, statFenceWords, uint64(len(batch)))
 	fs.entries = fs.entries[:0]
 	if m.frec != nil {
 		m.frec.RecordFence(p, uint64(len(batch)))
@@ -608,12 +611,12 @@ func (m *Memory) PersistAt(a Addr, at trace.Attr) {
 // monotonic per counter (see TestCrashAllStatsAccounting).
 func (m *Memory) CrashAll() {
 	if m.mode != Buffered {
-		m.stats.systemCrashes.Add(1)
+		m.stats.add(0, statSystemCrashes, 1)
 		return
 	}
 	m.crashEpoch.Add(1)
 	for si := range m.shards {
-		m.shards[si].lock(&m.stats)
+		m.shards[si].lock(&m.stats, 0)
 	}
 	n := int(m.next.Load())
 	for si := range m.shards {
@@ -636,7 +639,7 @@ func (m *Memory) CrashAll() {
 	for si := range m.shards {
 		m.shards[si].mu.Unlock()
 	}
-	m.stats.systemCrashes.Add(1)
+	m.stats.add(0, statSystemCrashes, 1)
 }
 
 // Durable reports the durable (persisted) value of the word at a. In ADR

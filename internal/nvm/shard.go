@@ -85,12 +85,12 @@ type shard struct {
 }
 
 // lock acquires the shard's persistence mutex, counting the acquisition
-// as contended if it could not be taken immediately.
-func (s *shard) lock(st *Stats) {
+// as contended, on stripe p, if it could not be taken immediately.
+func (s *shard) lock(st *Stats, p int) {
 	if s.mu.TryLock() {
 		return
 	}
-	st.shardContention.Add(1)
+	st.add(p, statShardContention, 1)
 	s.mu.Lock()
 }
 
@@ -117,7 +117,7 @@ func (m *Memory) chunkFor(si, slot int) *wordChunk {
 	if cs := s.chunks.Load(); cs != nil && ci < len(*cs) {
 		return (*cs)[ci]
 	}
-	s.lock(&m.stats)
+	s.lock(&m.stats, 0)
 	defer s.mu.Unlock()
 	var cur []*wordChunk
 	if cs := s.chunks.Load(); cs != nil {
@@ -201,10 +201,11 @@ type shardBitmap uint32
 func (b *shardBitmap) add(si int) { *b |= 1 << uint(si) }
 
 // lockAll acquires the persistence mutex of every bank in the set, in
-// ascending index order (bit iteration visits set bits low to high).
-func (b shardBitmap) lockAll(shards *[ShardCount]shard, st *Stats) {
+// ascending index order (bit iteration visits set bits low to high),
+// charging contention to stripe p.
+func (b shardBitmap) lockAll(shards *[ShardCount]shard, st *Stats, p int) {
 	for rest := uint32(b); rest != 0; rest &= rest - 1 {
-		shards[bits.TrailingZeros32(rest)].lock(st)
+		shards[bits.TrailingZeros32(rest)].lock(st, p)
 	}
 }
 

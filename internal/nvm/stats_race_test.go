@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nrl/internal/trace"
 )
 
 // TestStatsConcurrentSampling hammers Stats and ResetStats while memory
@@ -95,5 +97,70 @@ func TestDrainStatsExactness(t *testing.T) {
 	drained.Add(mem.DrainStats().Writes) // whatever the racing drains left behind
 	if got, want := drained.Load(), uint64(writers*writesPerWriter); got != want {
 		t.Errorf("drained %d writes in total, want %d (lost or double-counted increments)", got, want)
+	}
+}
+
+// TestStripedStatsDrainExact runs more attributed processes than there
+// are stats stripes, so several processes share each stripe, while
+// another goroutine drains concurrently. Every counter's drained total
+// must equal the exact number of events of its kind. Run under -race.
+func TestStripedStatsDrainExact(t *testing.T) {
+	const (
+		procs = 2*statStripes + 3
+		iters = 500
+	)
+	mem := New(WithMode(Buffered))
+	addrs := mem.AllocArray("x", procs+1, 0)
+	var done atomic.Bool
+	var total StatsSnapshot
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for !done.Load() {
+			total = plusStats(total, mem.DrainStats())
+		}
+	}()
+	var ww sync.WaitGroup
+	for p := 1; p <= procs; p++ {
+		ww.Add(1)
+		go func(p int) {
+			defer ww.Done()
+			at, a := trace.Attr{P: p}, addrs[p]
+			for i := 0; i < iters; i++ {
+				v := mem.ReadAt(a, at)
+				mem.WriteAt(a, v+1, at)
+				mem.CASAt(a, v+1, v+2, at)
+				mem.TASAt(a, at)
+				mem.FAAAt(a, 1, at)
+				mem.FlushAt(a, at)
+				mem.FenceAt(at)
+			}
+		}(p)
+	}
+	ww.Wait()
+	done.Store(true)
+	<-drained
+	total = plusStats(total, mem.DrainStats())
+	const n = procs * iters
+	want := StatsSnapshot{
+		Reads: n, Writes: n, CASes: n, TASes: n, FAAs: n,
+		Flushes: n, Fences: n, FenceWords: n,
+		ShardContention: total.ShardContention, // timing-dependent
+	}
+	if total != want {
+		t.Errorf("drained totals %+v\nwant exactly    %+v", total, want)
+	}
+}
+
+// plusStats adds two snapshots counter by counter.
+func plusStats(a, b StatsSnapshot) StatsSnapshot {
+	return StatsSnapshot{
+		Reads: a.Reads + b.Reads, Writes: a.Writes + b.Writes,
+		CASes: a.CASes + b.CASes, TASes: a.TASes + b.TASes, FAAs: a.FAAs + b.FAAs,
+		Flushes: a.Flushes + b.Flushes, Fences: a.Fences + b.Fences,
+		SystemCrashes: a.SystemCrashes + b.SystemCrashes,
+		FenceWords:    a.FenceWords + b.FenceWords,
+
+		ShardContention: a.ShardContention + b.ShardContention,
 	}
 }

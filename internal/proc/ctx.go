@@ -46,40 +46,39 @@ func (c *Ctx) RecStep(line int) {
 	c.step(line, false)
 }
 
+// step writes only the process's own state, its step counter and the
+// top frame, so under the free scheduler it writes no line another
+// process writes (System.GlobalSteps sums the per-process counters on
+// read). A CrashPoint is built only when an injector is installed.
 func (c *Ctx) step(line int, updateLI bool) {
 	p := c.p
 	ps := p.steps.Add(1)
-	gs := p.sys.globalSteps.Add(1)
 	p.sys.sched.Yield(p.id)
 	fr := p.top()
-	// Crash points resolve Info per step rather than reading fr.info:
-	// that speedup shrinks the base of the flight-recorder overhead
-	// ratio, so it has to come with a re-priced RecorderOverheadBudget
-	// (internal/bench).
-	info := fr.op.Info()
-	pt := CrashPoint{
-		Proc:       p.id,
-		Obj:        info.Obj,
-		Op:         info.Op,
-		Line:       line,
-		ProcStep:   ps,
-		GlobalStep: gs,
-		Crashes:    int(p.crashes.Load()),
-		Depth:      p.depth,
-		Attempt:    fr.attempts,
-		Recovery:   !updateLI,
-		Awaiting:   p.awaiting,
-	}
-	if p.sys.inj.ShouldCrash(pt) {
-		panic(crashSignal{proc: p.id})
+	if p.sys.injects {
+		pt := CrashPoint{
+			Proc:     p.id,
+			Obj:      fr.info.Obj,
+			Op:       fr.info.Op,
+			Line:     line,
+			ProcStep: ps,
+			Crashes:  int(p.crashes.Load()),
+			Depth:    p.depth,
+			Attempt:  fr.attempts,
+			Recovery: !updateLI,
+			Awaiting: p.awaiting,
+		}
+		if p.sys.inj.ShouldCrash(pt) {
+			panic(crashSignal{proc: p.id})
+		}
 	}
 	if updateLI {
 		fr.li = line
 		// LI_p checkpoints are deep-mode-only: the frecDeep guard keeps
 		// the shallow hot path at one predictable branch per step.
 		if p.sys.frecDeep {
-			p.sys.frec.Checkpoint(p.id, p.depth, info.Obj, info.Op,
-				line, fr.attempts, p.sys.globalSteps.Load())
+			p.sys.frec.Checkpoint(p.id, p.depth, fr.info.Obj, fr.info.Op,
+				line, fr.attempts, p.sys.GlobalSteps())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"nrl/internal/flightrec"
 	"nrl/internal/flightrec/forensics"
+	"nrl/internal/history"
 	"nrl/internal/nvm"
 )
 
@@ -95,5 +96,52 @@ func TestFlightRecShallowDefault(t *testing.T) {
 	rep := forensics.Reconstruct(rec.Snapshot(), 0)
 	if pr := rep.Procs[1]; pr.Begun != 1 || pr.Ended != 1 {
 		t.Fatalf("shallow counters = %+v", pr)
+	}
+}
+
+// TestGStepOnlyForReadingSinks: emit pays for the GlobalSteps sum only
+// when a sink reads GStep. A shallow recorder alongside history gets 0
+// on every lifecycle record; the same recorder with a tracer or in deep
+// mode gets the system step count.
+func TestGStepOnlyForReadingSinks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		deep   bool
+		tracer bool
+		want   bool // lifecycle records carry a nonzero GStep
+	}{
+		{"shallow+history", false, false, false},
+		{"shallow+tracer", false, true, true},
+		{"deep+history", true, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := flightrec.NewRecorder(flightrec.Options{Slots: 256, Deep: tc.deep})
+			cfg := Config{Procs: 1, Recorder: history.NewRecorder(), FlightRec: rec}
+			if tc.tracer {
+				cfg.Tracer = &gstepLog{seq: make(map[int][]uint64)}
+			}
+			sys := NewSystem(cfg)
+			child := &childOp{a: sys.Mem().Alloc("A", 0)}
+			parent := &parentOp{child: child, r: sys.Mem().Alloc("R", 0)}
+			for i := 0; i < 3; i++ {
+				sys.Proc(1).Ctx().Invoke(parent, uint64(i))
+			}
+			var ends, nonzero int
+			for _, r := range rec.Snapshot() {
+				if r.Kind != flightrec.KindEnd {
+					continue
+				}
+				ends++
+				if r.GStep != 0 {
+					nonzero++
+				}
+			}
+			if ends == 0 {
+				t.Fatal("no end records")
+			}
+			if got := nonzero > 0; got != tc.want {
+				t.Errorf("%d of %d end records carry a GStep, want nonzero: %v", nonzero, ends, tc.want)
+			}
+		})
 	}
 }

@@ -7,19 +7,22 @@ import (
 )
 
 // CrashPoint describes the point at which a crash may be injected: process
-// p is about to execute the given line of the given operation.
+// p is about to execute the given line of the given operation. Every
+// field is the process's own state, so building one reads no line other
+// processes write; an injector that needs the system-wide step count
+// can read System.GlobalSteps, paying for the sum itself. Steps build
+// no CrashPoint at all under the Never injector.
 type CrashPoint struct {
-	Proc       int
-	Obj        string
-	Op         string
-	Line       int
-	ProcStep   uint64 // number of steps p has taken (1-based, this one included)
-	GlobalStep uint64 // number of steps taken system-wide
-	Crashes    int    // crashes p has suffered so far
-	Depth      int    // nesting depth (1 = top-level operation)
-	Attempt    int    // recovery attempts of the current frame so far
-	Recovery   bool   // the line belongs to recovery code (entered via RecStep)
-	Awaiting   bool   // the process is inside an Await/AwaitFor loop
+	Proc     int
+	Obj      string
+	Op       string
+	Line     int
+	ProcStep uint64 // number of steps p has taken (1-based, this one included)
+	Crashes  int    // crashes p has suffered so far
+	Depth    int    // nesting depth (1 = top-level operation)
+	Attempt  int    // recovery attempts of the current frame so far
+	Recovery bool   // the line belongs to recovery code (entered via RecStep)
+	Awaiting bool   // the process is inside an Await/AwaitFor loop
 }
 
 // Injector decides whether a process crashes at a given point. Injectors
@@ -117,6 +120,12 @@ func (a *AtStep) ShouldCrash(pt CrashPoint) bool {
 // campaigns derive one injector per process from a single seed (set Proc,
 // seed each via NewRandom with SplitSeed) so every decision stream
 // depends only on its own process's step sequence.
+//
+// The filter fields are read by every process on every step (a Multi of
+// per-process Randoms offers each point to every member), while the
+// mutable state below is written by the owning process on every step;
+// the pads keep the two on different cache lines, also against a
+// neighbouring Random on the heap.
 type Random struct {
 	Rate       float64
 	Seed       int64
@@ -125,10 +134,12 @@ type Random struct {
 	// of other processes are ignored without consuming a random draw.
 	Proc int
 
+	_       [64]byte
 	once    sync.Once
 	mu      sync.Mutex
 	rng     *rand.Rand
 	crashes int
+	_       [64]byte
 }
 
 // NewRandom returns a Random injector drawing from src instead of the

@@ -2,11 +2,13 @@ package proc
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"nrl/internal/history"
 	"nrl/internal/nvm"
+	"nrl/internal/trace"
 )
 
 // childOp is a toy recoverable operation: it writes its argument to a word
@@ -596,7 +598,6 @@ func TestCrashPointFields(t *testing.T) {
 		t.Fatal("no crash points observed")
 	}
 	var sawParentDepth, sawChildDepth bool
-	var lastGlobal uint64
 	for i, pt := range points {
 		if pt.Proc != 1 {
 			t.Errorf("point %d: Proc = %d", i, pt.Proc)
@@ -604,10 +605,6 @@ func TestCrashPointFields(t *testing.T) {
 		if pt.ProcStep != uint64(i+1) {
 			t.Errorf("point %d: ProcStep = %d, want %d", i, pt.ProcStep, i+1)
 		}
-		if pt.GlobalStep <= lastGlobal {
-			t.Errorf("point %d: GlobalStep not increasing", i)
-		}
-		lastGlobal = pt.GlobalStep
 		switch pt.Obj {
 		case "parent":
 			if pt.Depth != 1 {
@@ -624,14 +621,70 @@ func TestCrashPointFields(t *testing.T) {
 	if !sawParentDepth || !sawChildDepth {
 		t.Error("did not observe both nesting depths")
 	}
-	if sys.GlobalSteps() != lastGlobal {
-		t.Errorf("GlobalSteps = %d, want %d", sys.GlobalSteps(), lastGlobal)
+	var sum uint64
+	for q := 1; q <= sys.N(); q++ {
+		sum += sys.Proc(q).Steps()
+	}
+	if sys.GlobalSteps() != sum || sum != uint64(len(points)) {
+		t.Errorf("GlobalSteps = %d, want the sum of Steps %d (= %d points)", sys.GlobalSteps(), sum, len(points))
 	}
 	if got := sys.Proc(1).ID(); got != 1 {
 		t.Errorf("ID = %d", got)
 	}
 	if got := sys.N(); got != 1 {
 		t.Errorf("N = %d", got)
+	}
+}
+
+// gstepLog is a tracer keeping each process's op-lifecycle GStep
+// sequence in emission order.
+type gstepLog struct {
+	mu  sync.Mutex
+	seq map[int][]uint64
+}
+
+func (l *gstepLog) Emit(e trace.Event) {
+	if e.Kind.Mem() {
+		return
+	}
+	l.mu.Lock()
+	l.seq[e.P] = append(l.seq[e.P], e.GStep)
+	l.mu.Unlock()
+}
+
+// TestGStepMonotonicFreeScheduler: under the free scheduler GStep is a
+// sum of concurrently loaded per-process step counters, so it is not an
+// exact global clock, but each process's own sequence of GStep values
+// must never decrease, and the last one is bounded by the final total.
+func TestGStepMonotonicFreeScheduler(t *testing.T) {
+	const procs, ops = 4, 300
+	log := &gstepLog{seq: make(map[int][]uint64)}
+	inj := &Random{Rate: 0.05, Seed: 7, MaxCrashes: 50}
+	sys := NewSystem(Config{Procs: procs, Tracer: log, Injector: inj})
+	child := &childOp{a: sys.Mem().Alloc("A", 0)}
+	parent := &parentOp{child: child, r: sys.Mem().Alloc("R", 0)}
+	for p := 1; p <= procs; p++ {
+		sys.Go(p, func(c *Ctx) {
+			for i := 0; i < ops; i++ {
+				c.Invoke(parent, uint64(i))
+			}
+		})
+	}
+	sys.Wait()
+	total := sys.GlobalSteps()
+	for p := 1; p <= procs; p++ {
+		seq := log.seq[p]
+		if len(seq) < 2*ops {
+			t.Fatalf("p%d: %d lifecycle events, want at least %d", p, len(seq), 2*ops)
+		}
+		for i := 1; i < len(seq); i++ {
+			if seq[i] < seq[i-1] {
+				t.Fatalf("p%d: GStep decreased at event %d: %d -> %d", p, i, seq[i-1], seq[i])
+			}
+		}
+		if last := seq[len(seq)-1]; last > total {
+			t.Errorf("p%d: last GStep %d exceeds the final total %d", p, last, total)
+		}
 	}
 }
 

@@ -72,13 +72,17 @@ type System struct {
 	// topOnly: the only sink is a shallow flight recorder, which ignores
 	// nested Invoke/Response edges, so emit does not build them.
 	topOnly bool
-	inj     Injector
-	sched   Scheduler
-	procs   []*Proc
-	// globalSteps is written by every step of every process; the pad
-	// keeps the read-mostly fields above off its cache line.
-	_             [64]byte
-	globalSteps   atomic.Uint64
+	// gsteps: a sink reads Event.GStep (a tracer or a deep flight
+	// recorder), so emit pays for the GlobalSteps sum. History ignores
+	// GStep and a shallow flight recorder gets 0: the sum loads every
+	// process's step counter, a cache miss per other running process.
+	gsteps bool
+	inj    Injector
+	// injects is false for the Never injector: steps then build no
+	// CrashPoint at all.
+	injects       bool
+	sched         Scheduler
+	procs         []*Proc
 	awaitBudget   int
 	recoverPanics bool
 	wg            sync.WaitGroup
@@ -103,6 +107,7 @@ func NewSystem(cfg Config) *System {
 	if inj == nil {
 		inj = Never{}
 	}
+	_, never := inj.(Never)
 	sched := cfg.Scheduler
 	if sched == nil {
 		sched = Free{}
@@ -140,7 +145,9 @@ func NewSystem(cfg Config) *System {
 		frec:          cfg.FlightRec,
 		frecDeep:      cfg.FlightRec != nil && cfg.FlightRec.DeepMode(),
 		topOnly:       len(sinks) == 1 && cfg.FlightRec != nil && !cfg.FlightRec.DeepMode(),
+		gsteps:        tracer != nil || (cfg.FlightRec != nil && cfg.FlightRec.DeepMode()),
 		inj:           inj,
+		injects:       !never,
 		sched:         sched,
 		awaitBudget:   budget,
 		recoverPanics: cfg.RecoverPanics,
@@ -167,8 +174,21 @@ func (s *System) Tracer() trace.Tracer { return s.tracer }
 // Proc returns process p (1-based).
 func (s *System) Proc(p int) *Proc { return s.procs[p] }
 
-// GlobalSteps reports the total number of steps taken system-wide.
-func (s *System) GlobalSteps() uint64 { return s.globalSteps.Load() }
+// GlobalSteps reports the total number of steps taken system-wide: the
+// sum of every process's Steps, read on demand so that no step writes a
+// counter shared by all processes. Under the controlled scheduler only
+// the process holding the turn takes steps, so the sum is exact at every
+// read from inside a run. Under the free scheduler it is a sum of
+// concurrent loads: it lies between the true totals at the start and at
+// the end of the call, so successive reads by one goroutine never
+// decrease.
+func (s *System) GlobalSteps() uint64 {
+	var n uint64
+	for _, pr := range s.procs[1:] {
+		n += pr.steps.Load()
+	}
+	return n
+}
 
 // History returns the history recorded so far (empty if no recorder).
 func (s *System) History() history.History {
@@ -350,17 +370,22 @@ func (p *Proc) limitErr(op Operation, nargs int) (err error) {
 
 // emit is the one place proc reports an op-lifecycle edge: the event for
 // the top frame snapshots its LI, attempt count and depth and the step
-// counters. Args aliases the frame arena (see trace.Event).
+// counters (GStep only when a sink reads it, see System.gsteps). Args
+// aliases the frame arena (see trace.Event).
 func (p *Proc) emit(k trace.Kind, args []uint64, ret uint64) {
 	ev := p.sys.events
 	if ev == nil || (p.sys.topOnly && p.depth > 1 && (k == trace.Invoke || k == trace.Response)) {
 		return
 	}
 	fr := p.top()
+	var gstep uint64
+	if p.sys.gsteps {
+		gstep = p.sys.GlobalSteps()
+	}
 	ev.Emit(trace.Event{
 		Kind: k, P: p.id, Obj: fr.info.Obj, Op: fr.info.Op,
 		Depth: p.depth, Line: fr.li, Attempt: fr.attempts,
-		PStep: p.steps.Load(), GStep: p.sys.globalSteps.Load(),
+		PStep: p.steps.Load(), GStep: gstep,
 		Addr: int32(nvm.InvalidAddr), Args: args, Ret: ret,
 	})
 }

@@ -146,8 +146,13 @@ type Event struct {
 	// Response/RecoverDone, total recovery attempts the operation needed
 	// (0 = never crashed).
 	Attempt int `json:"attempt,omitempty"`
-	// PStep and GStep are the per-process and system-wide step counters at
-	// emission time (operation lifecycle events only).
+	// PStep and GStep are the per-process and system-wide step counts at
+	// emission time (operation lifecycle events only). GStep is the sum
+	// of the per-process counts: exact under a controlled scheduler,
+	// never decreasing along one process's events under a free one.
+	// proc fills GStep only when a tracer or a deep flight recorder is
+	// attached; with history and shallow flight-recorder sinks alone it
+	// is 0.
 	PStep uint64 `json:"pstep,omitempty"`
 	GStep uint64 `json:"gstep,omitempty"`
 	// Addr is the NVRAM address of a memory event; -1 for non-memory
